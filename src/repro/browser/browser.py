@@ -16,9 +16,8 @@ Deferred script groups model crawler-relevant behaviors:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.browser.bindings import JSCanvasElement
 from repro.browser.instrumentation import CanvasInstrument, VirtualClock
@@ -30,8 +29,6 @@ from repro.dom.html import ScriptRef, parse_html
 from repro.dom.window import make_navigator, make_screen, make_window
 from repro.js.errors import JSError, JSThrow
 from repro.js.interpreter import Interpreter
-from repro.js.static import verdict_for_source
-from repro import perf
 from repro.net.http import Request, ResourceType
 from repro.net.server import Network
 from repro.net.url import URL
@@ -74,20 +71,6 @@ class Page:
     _interp: Optional[Interpreter] = None
     #: How many inline scripts this page has executed (for #inline-N keys).
     _inline_seq: int = 0
-    #: Triage state: scripts proven inert+effect-free, deferred instead of
-    #: executed, with the union of the globals they would write.
-    _deferred: List[Tuple[str, str]] = field(default_factory=list)
-    _deferred_writes: Set[str] = field(default_factory=set)
-    #: Union of shared-namespace reads of every script executed so far (and
-    #: whether any of them reads an unbounded set of globals).
-    _executed_reads: Set[str] = field(default_factory=set)
-    _executed_reads_top: bool = False
-
-    @property
-    def skipped_scripts(self) -> List[str]:
-        """Scripts currently deferred by triage (skipped for good unless a
-        later script forces a flush)."""
-        return [url for url, _source in self._deferred]
 
     def pending_count(self, group: str) -> int:
         return len(self._pending.get(group, []))
@@ -115,7 +98,6 @@ class Browser:
         profile: Optional[BrowserProfile] = None,
         js_step_budget: Optional[int] = None,
         js_compile: Optional[bool] = None,
-        static_triage: Optional[bool] = None,
     ) -> None:
         self.network = network
         self.profile = profile or BrowserProfile()
@@ -127,15 +109,6 @@ class Browser:
         #: REPRO_JS_COMPILE).  Both modes produce identical pages; the
         #: compiled one shares lowered programs process-wide.
         self.js_compile = js_compile
-        #: Skip execution of scripts the static analyzer proves canvas-inert
-        #: and invisible to every other script on the page (None = honour
-        #: REPRO_JS_STATIC_TRIAGE).  Pages and datasets are byte-identical
-        #: either way; the skip only saves interpreter time.
-        if static_triage is None:
-            static_triage = os.environ.get("REPRO_JS_STATIC_TRIAGE", "").strip().lower() in (
-                "1", "true", "on", "yes"
-            )
-        self.static_triage = bool(static_triage)
         self._randomization = RandomizationState(self.profile.session_seed)
         #: Parse cache shared across page loads: each script URL+source is
         #: parsed once per browser, a large win when thousands of sites embed
@@ -257,52 +230,6 @@ class Browser:
             effective_url = f"{page.url}{suffix}"
         page.executed_scripts.append(effective_url)
         page.script_sources[effective_url] = source
-
-        if self.static_triage and self._triage(page, interp, effective_url, source):
-            return
-        self._run_script(page, interp, effective_url, source)
-
-    def _triage(self, page: Page, interp: Interpreter, effective_url: str, source: str) -> bool:
-        """Decide whether this script can be skipped; True means skipped.
-
-        A script is deferred (and, unless a later script forces a flush,
-        never executed) only when the static analyzer proved it canvas-inert,
-        throw-free, terminating, and pure toward the host — so the only trace
-        it could leave is its global writes — AND no already-executed script
-        reads any of those globals (a callback registered earlier could fire
-        later).  Conversely, before *running* a script that may read a
-        deferred script's writes, every deferred script is flushed in
-        document order, restoring exactly the original execution.
-        """
-        verdict = verdict_for_source(source, effective_url)
-        if (
-            verdict.skippable
-            and not verdict.global_reads
-            and not page._executed_reads_top
-            and not (set(verdict.global_writes) & page._executed_reads)
-        ):
-            page._deferred.append((effective_url, source))
-            page._deferred_writes.update(verdict.global_writes)
-            perf.PERF.hit("js.static.triage")
-            return True
-
-        unbounded = verdict.reads_top or verdict.parse_error is not None
-        if page._deferred and (unbounded or (set(verdict.global_reads) & page._deferred_writes)):
-            self._flush_deferred(page, interp)
-        page._executed_reads.update(verdict.global_reads)
-        page._executed_reads_top = page._executed_reads_top or unbounded
-        perf.PERF.miss("js.static.triage")
-        return False
-
-    def _flush_deferred(self, page: Page, interp: Interpreter) -> None:
-        """Execute every deferred script, in original document order."""
-        pending, page._deferred = page._deferred, []
-        page._deferred_writes = set()
-        for url, source in pending:
-            perf.PERF.evict("js.static.triage")
-            self._run_script(page, interp, url, source)
-
-    def _run_script(self, page: Page, interp: Interpreter, effective_url: str, source: str) -> None:
         try:
             if profiler.ACTIVE:
                 # Tag profiler samples with the executing script so

@@ -228,7 +228,6 @@ def run_study(
     obs_dir: Optional[Union[str, Path]] = None,
     supervisor: Optional[SupervisorConfig] = None,
     js_prewarm: Optional[Sequence[str]] = None,
-    static_triage: Optional[bool] = None,
 ) -> StudyResult:
     """Run the full measurement study over a network.
 
@@ -267,13 +266,6 @@ def run_study(
     compilation is exactly transparent, so it shifts ``js.cache`` counters
     and latency, never the artifacts.
 
-    ``static_triage`` opts every crawl worker into static-analysis triage:
-    scripts the analyzer proves canvas-inert and effect-free toward the rest
-    of the page are deferred and never executed.  ``None`` honours the
-    ``REPRO_JS_STATIC_TRIAGE`` environment variable.  A third pure execution
-    knob: datasets are byte-identical with triage on or off; only the
-    ``js.static.triage`` counters and crawl latency move.
-
     ``obs_dir`` names the directory that receives this run's observability
     artifacts (``manifest.json`` + ``trace.jsonl``, inspectable with
     ``python -m repro.obs``).  Falls back to ``REPRO_OBS_DIR``, then — when
@@ -310,7 +302,6 @@ def run_study(
         checkpoint_dir=Path(cache_dir) / "shards" if cache_dir is not None else None,
         supervisor=supervisor,
         js_prewarm=js_prewarm,
-        static_triage=static_triage,
     )
     graph = build_study_graph(ctx, cache=cache)
 

@@ -23,8 +23,8 @@ reducers — one code path, two drivers — so streaming output is *equal* to
 batch output by construction, not by coincidence.
 
 Because states are picklable, shard workers fold their observations as
-pages land and ship partials home over the existing worker-payload
-channel (:mod:`repro.crawler.shards` / :mod:`repro.crawler.supervisor`);
+pages land and ship partials home in their worker report
+(:mod:`repro.crawler.shards` / :mod:`repro.crawler.supervisor`);
 the stage graph merges them (:class:`repro.core.stages.study.ReduceStage`)
 and the analysis CLI streams a JSONL dataset through a bundle in bounded
 memory.  See ``docs/analysis-architecture.md``.
@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 #: Bump when any reducer's state layout or semantics change — feeds the
-#: block-level partial cache keys of ``ReduceStage``.
+#: cache key of the ``reduce`` stage (via :meth:`BundleSpec.fingerprint`).
 REDUCER_VERSION = "1"
 
 
@@ -580,7 +580,7 @@ class StaticReport:
     dead_scripts: Tuple[Tuple[str, str, str], ...] = ()
     #: (domain, failure_reason, classification) recovered without execution.
     static_only: Tuple[Tuple[str, str, str], ...] = ()
-    #: Distinct script bodies the triage would skip at crawl time.
+    #: Distinct script bodies proven canvas-inert and effect-free.
     skippable_scripts: int = 0
 
     @property

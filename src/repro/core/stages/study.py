@@ -29,9 +29,8 @@ Since the streaming-reducer refactor the observation-heavy analyses
 (detection, clustering, prevalence, reach, render-twice) flow through one
 :class:`ReduceStage`: crawl workers fold their shard's observations into an
 :class:`~repro.core.reducers.AnalysisBundle` partial as pages land and ship
-it home with the crawl records (no cache), or — with a ``cache_dir`` — the
-reduce stage folds the dataset through *block-level* partial cache entries,
-so appending sites to a study re-ingests only the new blocks and re-merges
+it home with the crawl records; when the control crawl is served from the
+stage cache instead, the reduce stage folds the cached dataset in one pass
 (see ``docs/analysis-architecture.md``).  The downstream analysis stages
 finalize bundle members, so their cache keys chain off the reduce key and a
 warm cache re-runs nothing.  Blocklist/serving context deliberately stay
@@ -41,8 +40,6 @@ re-runs only those stages, never detection or clustering.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -135,11 +132,6 @@ class StudyContext:
     #: an execution knob: compilation is exactly transparent, so prewarming
     #: changes page-load latency and ``js.cache`` counters, never the dataset.
     js_prewarm: Optional[Sequence[str]] = None
-    #: Crawl-time static triage (skip execution of provably inert scripts).
-    #: An execution knob like ``jobs``: triage-on datasets are byte-identical
-    #: to triage-off, so it never enters a cache key.  ``None`` honours
-    #: ``REPRO_JS_STATIC_TRIAGE``.
-    static_triage: Optional[bool] = None
 
     _network_fp: Optional[str] = field(default=None, repr=False, compare=False)
     #: Crawl-stage name -> merged AnalysisBundle folded live during the crawl
@@ -248,7 +240,6 @@ class CrawlStage(Stage):
             supervisor=ctx.supervisor,
             fold=fold,
             js_prewarm=ctx.js_prewarm,
-            static_triage=ctx.static_triage,
         )
         if fold is not None:
             ctx._live_bundles[self.name] = fold.merge(dataset)
@@ -259,76 +250,28 @@ class CrawlStage(Stage):
 class ReduceStage(Stage):
     """Fold the control crawl into one merged :class:`AnalysisBundle`.
 
-    Three ways to produce the bundle, cheapest first:
-
-    1. **Live partials** — a fold-enabled :class:`CrawlStage` already merged
-       worker-shipped partials; pop them from ``ctx._live_bundles``.
-    2. **Block-cached fold** — with a stage cache, the dataset is folded in
-       fixed-size blocks, each block's partial content-addressed by its
-       observations (``reduce.block`` entries).  Appending sites to a study
-       re-ingests only the new blocks; everything else is a merge of cached
-       partials.
-    3. **Plain fold** — no cache, no live bundle: ingest the whole dataset.
-
-    All three produce the identical artifact; only the work differs.
+    The fold-enabled control :class:`CrawlStage` already merged the
+    worker-shipped partials into ``ctx._live_bundles``; pop that bundle.
+    When the crawl artifact came from the stage cache instead (its run()
+    never executed), fold the dataset in one pass.  Both paths produce the
+    identical artifact; only the work differs.
     """
 
     name = "reduce"
     inputs = ("crawl.control",)
     #: Which crawl stage's live bundle this reduce consumes.
     name_of_live_bundle = "crawl.control"
-    #: Observations per cached block partial (tests shrink this).
-    DEFAULT_BLOCK_SIZE = 256
-
-    def __init__(self, cache: Optional[StageCache] = None, block_size: Optional[int] = None) -> None:
-        self._cache = cache
-        self.block_size = block_size if block_size is not None else self.DEFAULT_BLOCK_SIZE
 
     def config_fingerprint(self, ctx: StudyContext) -> Any:
         return control_bundle_spec(ctx).fingerprint()
-
-    def _block_key(self, config_fp: Any, block: Sequence[Any]) -> str:
-        digest = hashlib.sha256(stable_hash(config_fp).encode("ascii"))
-        for observation in block:
-            digest.update(
-                json.dumps(
-                    observation.to_json(), sort_keys=True, ensure_ascii=False
-                ).encode("utf-8")
-            )
-        return digest.hexdigest()
 
     def run(self, ctx: StudyContext, inputs: Dict[str, Any]) -> AnalysisBundle:
         control = inputs["crawl.control"]
         live = ctx._live_bundles.pop(self.name_of_live_bundle, None)
         if live is not None:
             return live
-        spec = control_bundle_spec(ctx)
-        if self._cache is None:
-            fold = AnalysisFold(spec)
-            fold.fold_dataset(control)
-            return fold.merge(control)
-        config_fp = self.config_fingerprint(ctx)
-        fold = AnalysisFold(spec)
-        observations = list(control.observations)
-        for start in range(0, len(observations), self.block_size):
-            block = observations[start : start + self.block_size]
-            key = self._block_key(config_fp, block)
-            # A structural span per block: cached/uncached folds are visible
-            # in the trace timeline and the profiler attributes block-fold
-            # self-time under the reduce stage rather than a bare gap.
-            with obs_layer.span(
-                "reduce.block", index=start // self.block_size, size=len(block)
-            ) as block_span:
-                hit, partial = self._cache.get("reduce.block", key)
-                block_span.set_attr("cached", bool(hit))
-                if hit:
-                    obs_layer.inc("analysis.block.hits")
-                else:
-                    obs_layer.inc("analysis.block.misses")
-                    partial = spec.build()
-                    partial.ingest_many(block)
-                    self._cache.put("reduce.block", key, partial)
-                fold.add_partial(partial)
+        fold = AnalysisFold(control_bundle_spec(ctx))
+        fold.fold_dataset(control)
         return fold.merge(control)
 
 
@@ -556,7 +499,14 @@ class StaticStage(Stage):
                 if rank > best_rank:
                     best_rank, best = rank, verdict.classification
             return best
-        except Exception:  # noqa: BLE001 — a probe must never fail the stage
+        except Exception as exc:  # noqa: BLE001 — a probe must never fail the stage
+            obs_layer.inc("static.probe_failures")
+            obs_layer.event(
+                "static.probe_failure",
+                sample_key=domain,
+                domain=domain,
+                error=type(exc).__name__,
+            )
             return None
 
 
@@ -600,15 +550,13 @@ def build_study_graph(
     validation) are included exactly when the monolithic pipeline would have
     run them, so the graph's artifact set mirrors the old control flow.
 
-    Live-folded streaming analysis (workers ship partials with their crawl
-    records) is enabled exactly when there is no stage cache: with a cache,
-    the control crawl may be a warm artifact whose run() never executes, so
-    the reduce stage folds through block-level cached partials instead.
+    The control crawl always folds streaming analysis live (workers ship
+    partials with their crawl records); the reduce stage plain-folds only
+    when that crawl is a warm cache artifact whose run() never executed.
     """
-    fold_live = cache is None
     stages = [
-        CrawlStage("crawl.control", "control_profile", "control", fold=fold_live),
-        ReduceStage(cache),
+        CrawlStage("crawl.control", "control_profile", "control", fold=True),
+        ReduceStage(),
         DetectStage(),
         ClusterStage(),
         PrevalenceStage(),

@@ -122,13 +122,6 @@ def main(argv=None) -> int:
         "presumed hung and killed",
     )
     parser.add_argument(
-        "--static-triage",
-        action="store_true",
-        help="skip executing scripts the static analyzer proves canvas-inert "
-        "and effect-free toward the rest of the page (same as "
-        "REPRO_JS_STATIC_TRIAGE=1; datasets are byte-identical either way)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="stage cache directory (implies running via the stage graph)",
@@ -155,9 +148,6 @@ def main(argv=None) -> int:
         "into the obs dir",
     )
     args = parser.parse_args(argv)
-
-    # None = honour REPRO_JS_STATIC_TRIAGE; the flag forces it on.
-    static_triage = True if args.static_triage else None
 
     if args.profile:
         obs.configure(replace(obs.config(), profile=True))
@@ -235,7 +225,6 @@ def main(argv=None) -> int:
             else Path(f"{args.out}.shards"),
             supervisor=supervisor,
             js_prewarm=prewarm_sources(),
-            static_triage=static_triage,
         )
         graph = build_study_graph(ctx, cache=cache)
         run = graph.execute(ctx, only=[stage])
@@ -258,7 +247,6 @@ def main(argv=None) -> int:
             resume=args.resume,
             supervisor=supervisor,
             js_prewarm=prewarm_sources(),
-            static_triage=static_triage,
         )
         save_dataset(dataset, args.out)
     else:
@@ -273,7 +261,6 @@ def main(argv=None) -> int:
             retry_policy=retry_policy,
             page_budget=page_budget,
             resume=args.resume,
-            static_triage=static_triage,
         )
     health = dataset.health()
     if recorder is not None:

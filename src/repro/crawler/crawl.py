@@ -184,7 +184,6 @@ def run_crawl(
     page_budget: Optional[PageBudget] = None,
     checkpoint=None,
     resume_from: Optional[CrawlDataset] = None,
-    static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Visit every target with one browser configuration.
 
@@ -216,7 +215,6 @@ def run_crawl(
         network,
         profile,
         js_step_budget=page_budget.max_js_steps if page_budget else None,
-        static_triage=static_triage,
     )
     collector = CanvasCollector(browser, inner_paths=inner_paths, budget=page_budget)
     dataset = CrawlDataset(label=label)
@@ -256,7 +254,6 @@ def resume_crawl(
     retry_policy: Optional[RetryPolicy] = None,
     page_budget: Optional[PageBudget] = None,
     resume: bool = True,
-    static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Run (or continue) a checkpointed crawl persisted at ``out_path``.
 
@@ -285,7 +282,6 @@ def resume_crawl(
             page_budget=page_budget,
             checkpoint=writer,
             resume_from=prior,
-            static_triage=static_triage,
         )
     except BaseException:
         # Keep the partial file for a later --resume; never half-finalize.

@@ -26,18 +26,24 @@ site observes, only *when* it is visited.
   merged :class:`~repro.crawler.crawl.CrawlHealth` comes from the merged
   dataset's own ``health()``.
 
-Worker processes receive the (picklable) synthetic network and return
-observations as JSON records; a killed parallel crawl leaves per-shard
-``.partial`` checkpoints behind, and re-running with the same
-``checkpoint_dir`` resumes every shard without re-visiting persisted
-domains.
+Both parallel executors speak one worker contract: the parent builds a
+:class:`ShardJob` per shard (a frozen, picklable description of the crawl),
+:func:`_crawl_shard_worker` turns it into a :class:`WorkerReport` (the
+shard's observations as JSON records, its perf and obs deltas, and its
+analysis partial), and :meth:`WorkerReport.absorb` folds the report back
+into the parent exactly once.  The pool maps the worker body directly; the
+supervisor wraps it with heartbeats and an atomically written result file.
+A killed parallel crawl leaves per-shard ``.partial`` checkpoints behind,
+and re-running with the same ``checkpoint_dir`` resumes every shard without
+re-visiting persisted domains.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs, perf
 from repro.browser.profile import BrowserProfile
@@ -47,15 +53,87 @@ from repro.crawler.crawl import CrawlDataset, CrawlTarget, resume_crawl, run_cra
 from repro.crawler.resilience import PageBudget, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (supervisor imports us)
-    from repro.core.reducers import AnalysisFold
+    from repro.core.reducers import AnalysisBundle, AnalysisFold, BundleSpec
     from repro.crawler.supervisor import SupervisorConfig
 
 __all__ = [
+    "ShardJob",
+    "WorkerReport",
     "plan_shards",
     "shard_checkpoint_path",
     "merge_shard_datasets",
     "run_sharded_crawl",
 ]
+
+
+@dataclass(frozen=True)
+class ShardJob:
+    """Everything a shard worker needs, shipped to it whole.
+
+    :func:`run_sharded_crawl` builds one per crawl (``targets`` empty) and
+    derives each shard's job with :meth:`for_shard`, so pooled and
+    supervised workers receive identical jobs.  ``perf_config`` and
+    ``obs_config`` default to the parent's active knobs, which every worker
+    installs before crawling.
+    """
+
+    network: Any
+    label: str
+    targets: Tuple[CrawlTarget, ...] = ()
+    profile: Optional[BrowserProfile] = None
+    retry_policy: Optional[RetryPolicy] = None
+    page_budget: Optional[PageBudget] = None
+    inner_paths: tuple = ()
+    checkpoint: Optional[Path] = None
+    resume: bool = True
+    shard_tid: str = "shard-0"
+    #: Recipe for the shard's streaming-analysis partial (None: no fold).
+    fold_spec: Optional["BundleSpec"] = None
+    #: Script sources compiled into the worker's JS cache before its first
+    #: page load (:func:`repro.js.compiler.prewarm`).
+    js_prewarm: Optional[Tuple[str, ...]] = None
+    perf_config: perf.RenderCacheConfig = field(default_factory=perf.current_config)
+    obs_config: obs.ObsConfig = field(default_factory=obs.config)
+
+    def for_shard(
+        self, shard_tid: str, targets: Sequence[CrawlTarget], checkpoint: Optional[Path]
+    ) -> "ShardJob":
+        """This job narrowed to one shard's targets and checkpoint."""
+        return replace(
+            self, shard_tid=shard_tid, targets=tuple(targets), checkpoint=checkpoint
+        )
+
+
+@dataclass
+class WorkerReport:
+    """What one shard worker ships home.
+
+    Observations cross the process boundary as their JSON records — the
+    same schema the checkpoint files use — so the parent never depends on
+    pickle compatibility of in-flight collector objects.  Perf counters and
+    obs metrics are *deltas from the task start*: a pooled worker runs
+    several shard tasks back to back, and cumulative snapshots would
+    re-count every earlier task (exactly-once is what ``tests/obs`` asserts
+    under ``jobs=4``).
+    """
+
+    records: List[Dict[str, Any]]
+    perf_delta: Dict[str, Dict[str, float]]
+    obs_payload: Dict[str, Any]
+    partial: Optional["AnalysisBundle"] = None
+
+    def absorb(self, label: str, fold: Optional["AnalysisFold"]) -> CrawlDataset:
+        """Fold this report into the parent process (telemetry, analysis
+        partial) and return the shard's dataset."""
+        perf.PERF.merge(self.perf_delta)
+        obs.ingest_worker(self.obs_payload)
+        if fold is not None:
+            fold.add_partial(self.partial)
+        dataset = CrawlDataset(label=label)
+        dataset.observations.extend(
+            SiteObservation.from_json(record) for record in self.records
+        )
+        return dataset
 
 
 def plan_shards(targets: Sequence[CrawlTarget], shards: int) -> List[List[CrawlTarget]]:
@@ -114,33 +192,24 @@ def merge_shard_datasets(
     return merged
 
 
-def _crawl_shard_worker(payload):
-    """Worker entry point: crawl one shard, return observations as JSON.
+def _crawl_shard_worker(
+    job: ShardJob, progress: Optional[Callable[[int, SiteObservation], None]] = None
+) -> WorkerReport:
+    """Worker body: crawl one shard and report it (the one place a
+    :class:`WorkerReport` is built).
 
-    Must stay a module-level function (pickled by name by multiprocessing).
-    Observations cross the process boundary as their JSON records — the same
-    schema the checkpoint files use — so the parent never depends on pickle
-    compatibility of in-flight collector objects.  Each worker installs the
-    parent's render-cache and observability configs before crawling.
-
-    Perf counters and obs metrics ship back as *deltas from the task start*,
-    not cumulative snapshots: a pooled worker process runs several shard
-    tasks back to back, and cumulative snapshots would re-count every
-    earlier task when the parent merges them (exactly-once is what
-    ``tests/obs`` asserts under ``jobs=4``).  Trace records are drained by
-    :func:`repro.obs.worker_payload` for the same reason.
+    The pool dispatches this directly; the supervisor's entry point calls it
+    with a heartbeat ``progress`` callback.  Must stay a module-level
+    function (pickled by name by multiprocessing).
     """
-    (network, targets, profile, label, retry_policy, page_budget, inner_paths,
-     checkpoint, resume, perf_config, obs_config, shard_tid, fold_spec,
-     js_prewarm, static_triage) = payload
-    perf.configure(perf_config)
-    obs.configure(obs_config)
-    obs.set_worker_label(shard_tid)
+    perf.configure(job.perf_config)
+    obs.configure(job.obs_config)
+    obs.set_worker_label(job.shard_tid)
     # Sampling profiler: (re)start to match the parent's knobs.  This is
-    # fork-aware — a freshly forked pool worker inherits the parent's
-    # sample table, which maybe_start clears so parent samples are never
-    # shipped home twice (the parent drains its own table itself).
-    obs.profiler.maybe_start(obs_config)
+    # fork-aware — a freshly forked worker inherits the parent's sample
+    # table, which maybe_start clears so parent samples are never shipped
+    # home twice (the parent drains its own table itself).
+    obs.profiler.maybe_start(job.obs_config)
     perf_before = perf.PERF.snapshot()
     metrics_before = obs.METRICS.snapshot()
     # Warm the compiled-script cache before the first page load, so known
@@ -148,63 +217,41 @@ def _crawl_shard_worker(payload):
     # land after the baseline snapshot and therefore ship with this task's
     # delta; a pooled worker re-running the prewarm on its next task finds
     # the cache warm and records nothing.
-    if js_prewarm:
-        js_compiler.prewarm(js_prewarm)
-    with obs.span("crawl.shard", shard=shard_tid, label=label, size=len(targets)):
-        dataset = _crawl_one_shard(
-            network, targets, profile, label, retry_policy, page_budget,
-            inner_paths, checkpoint, resume, progress=None,
-            static_triage=static_triage,
-        )
+    if job.js_prewarm:
+        js_compiler.prewarm(job.js_prewarm)
+    with obs.span("crawl.shard", shard=job.shard_tid, label=job.label, size=len(job.targets)):
+        dataset = _crawl_one_shard(job, progress)
     records = [observation.to_json() for observation in dataset.observations]
     # Fold the shard's analysis partial *before* draining the obs delta, so
     # the parent receives the worker's ``analysis.*`` counters exactly once.
     partial = None
-    if fold_spec is not None:
-        partial = fold_spec.build()
+    if job.fold_spec is not None:
+        partial = job.fold_spec.build()
         partial.ingest_many(dataset.observations)
-    perf_delta = perf.diff_snapshots(perf_before, perf.PERF.snapshot())
-    return records, perf_delta, obs.worker_payload(metrics_before), partial
+    return WorkerReport(
+        records=records,
+        perf_delta=perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
+        obs_payload=obs.worker_payload(metrics_before),
+        partial=partial,
+    )
 
 
 def _crawl_one_shard(
-    network,
-    targets: Sequence[CrawlTarget],
-    profile: Optional[BrowserProfile],
-    label: str,
-    retry_policy: Optional[RetryPolicy],
-    page_budget: Optional[PageBudget],
-    inner_paths: tuple,
-    checkpoint: Optional[Path],
-    resume: bool,
-    progress: Optional[Callable[[int, SiteObservation], None]],
-    static_triage: Optional[bool] = None,
+    job: ShardJob, progress: Optional[Callable[[int, SiteObservation], None]]
 ) -> CrawlDataset:
-    if checkpoint is not None:
-        return resume_crawl(
-            network,
-            targets,
-            checkpoint,
-            profile=profile,
-            label=label,
-            progress=progress,
-            inner_paths=inner_paths,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            resume=resume,
-            static_triage=static_triage,
-        )
-    return run_crawl(
-        network,
-        targets,
-        profile=profile,
-        label=label,
+    options = dict(
+        profile=job.profile,
+        label=job.label,
         progress=progress,
-        inner_paths=inner_paths,
-        retry_policy=retry_policy,
-        page_budget=page_budget,
-        static_triage=static_triage,
+        inner_paths=job.inner_paths,
+        retry_policy=job.retry_policy,
+        page_budget=job.page_budget,
     )
+    if job.checkpoint is not None:
+        return resume_crawl(
+            job.network, job.targets, job.checkpoint, resume=job.resume, **options
+        )
+    return run_crawl(job.network, job.targets, **options)
 
 
 def run_sharded_crawl(
@@ -223,7 +270,6 @@ def run_sharded_crawl(
     supervisor: Optional["SupervisorConfig"] = None,
     fold: Optional["AnalysisFold"] = None,
     js_prewarm: Optional[Sequence[str]] = None,
-    static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Crawl ``targets`` over ``jobs`` workers and merge the shard datasets.
 
@@ -236,11 +282,11 @@ def run_sharded_crawl(
       partials, re-visiting nothing that was persisted;
     * ``progress`` is supported on the serial path only (callbacks cannot
       cross the process boundary);
-    * with a ``supervisor`` config, execution is delegated to
-      :func:`repro.crawler.supervisor.run_supervised_crawl`: heartbeat-
-      monitored workers, crash re-dispatch from the per-shard checkpoints,
-      and bisecting poison-site quarantine.  A no-fault supervised run
-      produces a dataset identical to this unsupervised path.
+    * with a ``supervisor`` config, the shards run under the supervisor of
+      :mod:`repro.crawler.supervisor`: heartbeat-monitored workers, crash
+      re-dispatch from the per-shard checkpoints, and bisecting poison-site
+      quarantine.  A no-fault supervised run produces a dataset identical
+      to this unsupervised path.
     * with a ``fold`` (an :class:`~repro.core.reducers.AnalysisFold`), each
       shard's observations are also folded into a streaming analysis partial
       as the crawl proceeds — in the worker process for parallel shards, so
@@ -256,48 +302,29 @@ def run_sharded_crawl(
     The merged dataset equals a serial crawl of the same targets: identical
     observations in identical order (see ``tests/crawler/test_shards.py``).
     """
+    jobs = max(1, jobs)
+    planned = plan_shards(targets, max(1, shards if shards is not None else jobs))
+    job = ShardJob(
+        network=network,
+        label=label,
+        profile=profile,
+        retry_policy=retry_policy,
+        page_budget=page_budget,
+        inner_paths=inner_paths,
+        resume=resume,
+        fold_spec=fold.spec if fold is not None else None,
+        js_prewarm=tuple(js_prewarm) if js_prewarm else None,
+    )
     if supervisor is not None:
         # Local import: supervisor builds on this module's planner/merger.
-        from repro.crawler.supervisor import run_supervised_crawl
+        from repro.crawler.supervisor import supervise_shards
 
-        return run_supervised_crawl(
-            network,
-            targets,
-            profile=profile,
-            label=label,
-            jobs=jobs,
-            shards=shards,
-            checkpoint_dir=checkpoint_dir,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            inner_paths=inner_paths,
-            resume=resume,
-            config=supervisor,
-            fold=fold,
-            js_prewarm=js_prewarm,
-            static_triage=static_triage,
-        )
-    jobs = max(1, jobs)
-    n_shards = shards if shards is not None else jobs
-    planned = plan_shards(targets, max(1, n_shards))
-
-    if js_prewarm:
-        js_prewarm = tuple(js_prewarm)
+        return supervise_shards(job, targets, planned, jobs, checkpoint_dir, supervisor, fold)
 
     if len(planned) == 1 and jobs == 1 and checkpoint_dir is None:
-        if js_prewarm:
-            js_compiler.prewarm(js_prewarm)
-        dataset = run_crawl(
-            network,
-            targets,
-            profile=profile,
-            label=label,
-            progress=progress,
-            inner_paths=inner_paths,
-            retry_policy=retry_policy,
-            page_budget=page_budget,
-            static_triage=static_triage,
-        )
+        if job.js_prewarm:
+            js_compiler.prewarm(job.js_prewarm)
+        dataset = _crawl_one_shard(job.for_shard("shard-0", targets, None), progress)
         if fold is not None:
             fold.fold_dataset(dataset)
         return dataset
@@ -310,36 +337,28 @@ def run_sharded_crawl(
             shard_checkpoint_path(directory, label, index, len(planned))
             for index in range(len(planned))
         ]
+    shard_jobs = [
+        job.for_shard(f"shard-{index}", shard, checkpoints[index])
+        for index, shard in enumerate(planned)
+    ]
 
-    shard_datasets: List[CrawlDataset]
+    shard_datasets: List[CrawlDataset] = []
     if jobs == 1:
-        if js_prewarm:
-            js_compiler.prewarm(js_prewarm)
-        shard_datasets = []
-        for index, shard in enumerate(planned):
+        if job.js_prewarm:
+            js_compiler.prewarm(job.js_prewarm)
+        for shard_job in shard_jobs:
             with obs.span(
-                "crawl.shard", shard=f"shard-{index}", label=label, size=len(shard)
+                "crawl.shard", shard=shard_job.shard_tid, label=label,
+                size=len(shard_job.targets),
             ):
-                shard_dataset = _crawl_one_shard(
-                    network, shard, profile, label, retry_policy, page_budget,
-                    inner_paths, checkpoints[index], resume, progress,
-                    static_triage=static_triage,
-                )
+                shard_dataset = _crawl_one_shard(shard_job, progress)
                 if fold is not None:
                     fold.fold_dataset(shard_dataset)
                 shard_datasets.append(shard_dataset)
     else:
-        fold_spec = fold.spec if fold is not None else None
-        payloads = [
-            (network, shard, profile, label, retry_policy, page_budget,
-             inner_paths, checkpoints[index], resume, perf.current_config(),
-             obs.config(), f"shard-{index}", fold_spec, js_prewarm,
-             static_triage)
-            for index, shard in enumerate(planned)
-        ]
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(planned)))
         try:
-            results = list(pool.map(_crawl_shard_worker, payloads))
+            reports = list(pool.map(_crawl_shard_worker, shard_jobs))
         except BaseException:
             # Ctrl-C (or any abort) must not leak live workers: cancel the
             # queued shards, skip the blocking result wait, and re-raise.
@@ -348,16 +367,6 @@ def run_sharded_crawl(
             raise
         else:
             pool.shutdown()
-        shard_datasets = []
-        for records, perf_delta, obs_payload, partial in results:
-            perf.PERF.merge(perf_delta)
-            obs.ingest_worker(obs_payload)
-            dataset = CrawlDataset(label=label)
-            dataset.observations.extend(
-                SiteObservation.from_json(record) for record in records
-            )
-            shard_datasets.append(dataset)
-            if fold is not None:
-                fold.add_partial(partial)
+        shard_datasets = [report.absorb(label, fold) for report in reports]
 
     return merge_shard_datasets(label, targets, shard_datasets)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
-from repro import obs, perf
+from repro import obs
 from repro.browser.profile import BrowserProfile
 from repro.core.records import SiteObservation
 from repro.crawler.crawl import (
@@ -64,6 +64,14 @@ from repro.crawler.crawl import (
     CrawlTarget,
 )
 from repro.crawler.resilience import PageBudget, RetryPolicy
+from repro.crawler.shards import (
+    ShardJob,
+    WorkerReport,
+    _crawl_shard_worker,
+    merge_shard_datasets,
+    run_sharded_crawl,
+    shard_checkpoint_path,
+)
 from repro.crawler.storage import load_checkpoint
 
 __all__ = [
@@ -73,6 +81,7 @@ __all__ = [
     "QuarantineLedger",
     "quarantine_ledger_path",
     "run_supervised_crawl",
+    "supervise_shards",
 ]
 
 
@@ -225,61 +234,24 @@ def _write_heartbeat(path: Path, domain: str, index: int) -> None:
     os.replace(tmp, path)
 
 
-def _supervised_shard_worker(payload, heartbeat_path: Path, result_path: Path) -> None:
-    """Worker entry point (module-level: pickled by name across the spawn).
+def _supervised_shard_worker(job: ShardJob, heartbeat_path: Path, result_path: Path) -> None:
+    """Supervised entry point (module-level: pickled by name across the spawn).
 
-    Mirrors ``shards._crawl_shard_worker`` — same payload tuple, same
-    JSON-records result schema, same delta-from-task-start perf/obs
-    propagation — but beats a heartbeat after every page and ships its
-    result through an atomically-promoted pickle file instead of the pool's
-    return channel, so a crash mid-result can never hand the parent a torn
-    payload.
+    Runs the shared shard body of :mod:`repro.crawler.shards`, beating a
+    heartbeat at task start and after every page, and ships the
+    :class:`WorkerReport` through an atomically promoted pickle file instead
+    of the pool's return channel, so a crash mid-result can never hand the
+    parent a torn report.
     """
-    from repro.crawler.shards import _crawl_one_shard
-    from repro.js import compiler as js_compiler
-
-    (network, targets, profile, label, retry_policy, page_budget, inner_paths,
-     checkpoint, resume, perf_config, obs_config, shard_tid, fold_spec,
-     js_prewarm, static_triage) = payload
-    perf.configure(perf_config)
-    obs.configure(obs_config)
-    obs.set_worker_label(shard_tid)
-    # Fork-aware profiler start: clears the sample table inherited from the
-    # supervisor's fork so parent samples never double-count, then samples
-    # this worker's pages until the task's worker_payload drains the table.
-    obs.profiler.maybe_start(obs_config)
-    perf_before = perf.PERF.snapshot()
-    metrics_before = obs.METRICS.snapshot()
-    # Same warm-start as the pool worker: compile known vendor scripts before
-    # the first page, counted after the baseline snapshot (exactly-once).
-    if js_prewarm:
-        js_compiler.prewarm(js_prewarm)
     _write_heartbeat(heartbeat_path, domain="", index=-1)
 
     def beat(index: int, observation: SiteObservation) -> None:
         _write_heartbeat(heartbeat_path, domain=observation.domain, index=index)
 
-    with obs.span("crawl.shard", shard=shard_tid, label=label, size=len(targets)):
-        dataset = _crawl_one_shard(
-            network, targets, profile, label, retry_policy, page_budget,
-            inner_paths, checkpoint, resume, progress=beat,
-            static_triage=static_triage,
-        )
-    records = [observation.to_json() for observation in dataset.observations]
-    # Fold before draining the obs delta so analysis counters ship with it.
-    partial = None
-    if fold_spec is not None:
-        partial = fold_spec.build()
-        partial.ingest_many(dataset.observations)
-    result = (
-        records,
-        perf.diff_snapshots(perf_before, perf.PERF.snapshot()),
-        obs.worker_payload(metrics_before),
-        partial,
-    )
+    report = _crawl_shard_worker(job, progress=beat)
     tmp = result_path.with_name(result_path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(report, fh, protocol=pickle.HIGHEST_PROTOCOL)
     os.replace(tmp, result_path)
 
 
@@ -363,19 +335,11 @@ def _credit_observation_metrics(observation: SiteObservation, label: str) -> Non
 class _Supervisor:
     """State for one supervised crawl: task queue, live workers, salvage pool."""
 
-    def __init__(self, network, profile: Optional[BrowserProfile], label: str,
-                 retry_policy: Optional[RetryPolicy],
-                 page_budget: Optional[PageBudget], inner_paths: tuple,
-                 resume: bool, config: SupervisorConfig, scratch: Path,
-                 ledger: QuarantineLedger, jobs: int, fold=None,
-                 js_prewarm=None, static_triage=None) -> None:
-        self.network = network
-        self.profile = profile
-        self.label = label
-        self.retry_policy = retry_policy
-        self.page_budget = page_budget
-        self.inner_paths = inner_paths
-        self.resume = resume
+    def __init__(self, job: ShardJob, config: SupervisorConfig, scratch: Path,
+                 ledger: QuarantineLedger, jobs: int, fold=None) -> None:
+        #: The crawl's job template; each spawn derives its shard's job.
+        self.job = job
+        self.label = job.label
         self.config = config
         self.scratch = scratch
         self.ledger = ledger
@@ -391,10 +355,6 @@ class _Supervisor:
         #: Optional streaming AnalysisFold: workers fold shard partials and
         #: ship them home; salvaged observations are folded parent-side.
         self.fold = fold
-        #: Script sources each worker compiles before its first page load.
-        self.js_prewarm = tuple(js_prewarm) if js_prewarm else None
-        #: Static-triage knob forwarded verbatim to every worker's Browser.
-        self.static_triage = static_triage
         self.respawns = 0
         self.spawned = 0
 
@@ -420,18 +380,10 @@ class _Supervisor:
         attempt = f"{task.shard_id}-try{task.crashes}"
         heartbeat = self.scratch / f"heartbeat-{attempt}.json"
         result = self.scratch / f"result-{attempt}.pkl"
-        payload = (
-            self.network, task.targets, self.profile, self.label,
-            self.retry_policy, self.page_budget, self.inner_paths,
-            task.checkpoint, self.resume, perf.current_config(), obs.config(),
-            f"shard-{task.shard_id}",
-            self.fold.spec if self.fold is not None else None,
-            self.js_prewarm,
-            self.static_triage,
-        )
+        job = self.job.for_shard(f"shard-{task.shard_id}", task.targets, task.checkpoint)
         process = self.mp.Process(
             target=_supervised_shard_worker,
-            args=(payload, heartbeat, result),
+            args=(job, heartbeat, result),
             daemon=True,
         )
         process.start()
@@ -493,17 +445,9 @@ class _Supervisor:
 
     def _collect(self, handle: _WorkerHandle) -> None:
         with open(handle.result_path, "rb") as fh:
-            records, perf_delta, obs_payload, partial = pickle.load(fh)
+            report: WorkerReport = pickle.load(fh)
         handle.result_path.unlink(missing_ok=True)
-        perf.PERF.merge(perf_delta)
-        obs.ingest_worker(obs_payload)
-        dataset = CrawlDataset(label=self.label)
-        dataset.observations.extend(
-            SiteObservation.from_json(record) for record in records
-        )
-        self.datasets.append(dataset)
-        if self.fold is not None:
-            self.fold.add_partial(partial)
+        self.datasets.append(report.absorb(self.label, self.fold))
 
     # -- failure handling -----------------------------------------------------
 
@@ -638,32 +582,51 @@ def run_supervised_crawl(
     config: Optional[SupervisorConfig] = None,
     fold=None,
     js_prewarm: Optional[Sequence[str]] = None,
-    static_triage: Optional[bool] = None,
 ) -> CrawlDataset:
     """Crawl ``targets`` under supervised worker processes.
 
-    Signature-compatible with :func:`~repro.crawler.shards.run_sharded_crawl`
-    (which delegates here when given a ``supervisor`` config) and returns the
-    same merged :class:`CrawlDataset` — except that a run whose workers died
-    completes anyway, with each isolated poison site carried as a failed
-    observation with reason ``quarantined:<signal>`` and appended to the
-    ``quarantine.jsonl`` ledger next to the shard checkpoints.
+    Shorthand for :func:`~repro.crawler.shards.run_sharded_crawl` with a
+    ``supervisor`` config, returning the same merged :class:`CrawlDataset`
+    — except that a run whose workers died completes anyway, with each
+    isolated poison site carried as a failed observation with reason
+    ``quarantined:<signal>`` and appended to the ``quarantine.jsonl``
+    ledger next to the shard checkpoints.
 
     Supervision *requires* per-shard checkpoints (re-dispatch resumes from
     them).  Without a ``checkpoint_dir`` they live in a private temporary
     directory that is deleted on return — pass a real directory to keep the
     checkpoints and the quarantine ledger.
     """
-    from repro.crawler.shards import (
-        merge_shard_datasets,
-        plan_shards,
-        shard_checkpoint_path,
+    return run_sharded_crawl(
+        network,
+        targets,
+        profile=profile,
+        label=label,
+        jobs=jobs,
+        shards=shards,
+        checkpoint_dir=checkpoint_dir,
+        retry_policy=retry_policy,
+        page_budget=page_budget,
+        inner_paths=inner_paths,
+        resume=resume,
+        supervisor=config or SupervisorConfig(),
+        fold=fold,
+        js_prewarm=js_prewarm,
     )
 
-    config = config or SupervisorConfig()
-    jobs = max(1, jobs)
-    planned = plan_shards(targets, max(1, shards if shards is not None else jobs))
 
+def supervise_shards(
+    job: ShardJob,
+    targets: Sequence[CrawlTarget],
+    planned: Sequence[Sequence[CrawlTarget]],
+    jobs: int,
+    checkpoint_dir: Optional[Union[str, Path]],
+    config: SupervisorConfig,
+    fold=None,
+) -> CrawlDataset:
+    """Run ``planned`` shards of ``job`` under the supervisor and merge them
+    in ``targets`` order (the supervised branch of ``run_sharded_crawl``)."""
+    label = job.label
     scratch_tmp: Optional[tempfile.TemporaryDirectory] = None
     if checkpoint_dir is not None:
         directory = Path(checkpoint_dir)
@@ -674,11 +637,7 @@ def run_supervised_crawl(
 
     try:
         ledger = QuarantineLedger(quarantine_ledger_path(directory))
-        supervisor = _Supervisor(
-            network, profile, label, retry_policy, page_budget, inner_paths,
-            resume, config, directory, ledger, jobs, fold=fold,
-            js_prewarm=js_prewarm, static_triage=static_triage,
-        )
+        supervisor = _Supervisor(job, config, directory, ledger, jobs, fold=fold)
         tasks = [
             _ShardTask(
                 shard_id=f"{index:04d}",

@@ -7,8 +7,8 @@ Public surface:
 * :func:`analyze_program` / :func:`build_cfg` — the underlying passes, for
   tests and tooling.
 
-See ``docs/static-analysis.md`` for the lattice, the triage safety
-argument, and the verdict schema.
+See ``docs/static-analysis.md`` for the lattice, the skippability
+proof, and the verdict schema.
 """
 
 from repro.js.static.analyzer import Analysis, CanvasAlloc, ReadoutSite, analyze_program

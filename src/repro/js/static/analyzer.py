@@ -13,12 +13,12 @@ code contributes nothing), with a small abstract-value lattice:
   summaries are computed on demand in the environment captured at the
   definition site, memoized per function node);
 * effect sets: which global/window names the script writes and reads — the
-  facts the crawl-time triage needs to prove a skipped script invisible to
-  its page — plus the host calls it performs and whether it can throw.
+  facts a skippability proof needs to show a script invisible to its
+  page — plus the host calls it performs and whether it can throw.
 
 Everything is conservative in the direction that matters for its consumer:
 reachability and readouts over-approximate (a callback that is stored but
-never provably called is still analyzed), while the triage facts
+never provably called is still analyzed), while the skippability facts
 (throw-freedom, termination, host purity) under-approximate — a construct
 the analyzer does not recognize simply disqualifies the script from being
 skipped, never the reverse.
@@ -71,7 +71,7 @@ BUILTIN_GLOBALS = {
 }
 
 #: Host member calls that are pure and total: allowed inside a
-#: triage-skippable script.  ``Math.*`` is special-cased in code.
+#: skippable script.  ``Math.*`` is special-cased in code.
 PURE_HOST_CALLS = {"performance.now", "JSON.stringify", "JSON.parse"}
 PURE_FREE_CALLS = {"parseInt", "parseFloat", "isNaN", "isFinite"}
 

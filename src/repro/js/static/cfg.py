@@ -10,8 +10,8 @@ two questions, so the public surface is small:
   (or a ``break``/``continue``) is dead, and dead code must not contribute
   to a script's API profile, effect sets, or step bound.
 * ``FunctionCFG.has_loops`` / ``loop_statements`` — does any back edge
-  exist, and through which loop statements?  The triage pass refuses to
-  prove termination for anything but literally-bounded loops.
+  exist, and through which loop statements?  The skippability proof refuses
+  to prove termination for anything but literally-bounded loops.
 
 Structured control flow only (the parser has no ``goto`` and no labels), so
 the builder is a recursive descent over statement lists carrying a stack of

@@ -51,7 +51,7 @@ CLASS_BENIGN = "canvas-benign"
 CLASS_UNKNOWN = "canvas-unknown"
 CLASS_FP_LIKELY = "fingerprinting-likely"
 
-#: Host calls a triage-skippable script may perform (pure, total, and
+#: Host calls a skippable script may perform (pure, total, and
 #: invisible to every other script on the page).  ``Math.*`` is matched by
 #: prefix.
 _SKIP_PURE_CALLS = {
@@ -115,12 +115,12 @@ def _signature(source: str) -> Tuple[str, ...]:
 
 
 def _skip_blockers(analysis: Analysis) -> Tuple[str, ...]:
-    """Why this script may NOT be skipped by the crawl-time triage.
+    """Why this script may NOT be proven skippable.
 
-    Empty means the triage proved the script (a) cannot reach any canvas
+    Empty means the analyzer proved the script (a) cannot reach any canvas
     API, (b) cannot throw, (c) terminates within the step cap, and (d)
     performs only pure whitelisted host calls — so the only trace it leaves
-    is its global writes, which the triage tracks separately.
+    is its global writes (``StaticVerdict.global_writes``).
     """
     blockers = []
     if analysis.canvas_mention:

@@ -82,10 +82,10 @@ _SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.crawler.supervisor", "supervisor"),
     ("repro.core.reducers", "reducers"),
     ("repro.js.compiler", "js.compile"),
-    ("repro.js.parser", "js.compile"),
-    ("repro.js.lexer", "js.compile"),
-    ("repro.js.nodes", "js.compile"),
-    ("repro.js.tokens", "js.compile"),
+    ("repro.js.parser", "js.parse"),
+    ("repro.js.nodes", "js.parse"),
+    ("repro.js.lexer", "js.lex"),
+    ("repro.js.tokens", "js.lex"),
     ("repro.js.", "js.exec"),
     ("repro.canvas", "render"),
     ("repro.dom", "render"),

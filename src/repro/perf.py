@@ -73,8 +73,7 @@ class RenderCacheConfig:
     #: ``REPRO_JS_COMPILE``, not by ``enabled``.
     js_cache_bytes: int = 64 * _MB
     #: Static-analysis verdicts keyed by source digest + analyzer version
-    #: (:mod:`repro.js.static`).  Triage itself is gated by
-    #: ``REPRO_JS_STATIC_TRIAGE``, not by ``enabled``.
+    #: (:mod:`repro.js.static`).
     static_cache_bytes: int = 16 * _MB
 
     @classmethod

@@ -262,3 +262,42 @@ class TestImageDataBinding:
         )
         page = Browser(network).load("https://pixels.example/")
         assert page.console == ["10,20,30,255 16"]
+
+
+PARSE_BOMB = "var x = " + "(" * 400 + "1" + ")" * 400 + ";"
+
+
+def inline_page(*scripts):
+    tags = "".join(f"<script>{s}</script>" for s in scripts)
+    return f"<html><title>t</title>{tags}</html>"
+
+
+class TestParseErrorContainment:
+    def test_parse_bomb_does_not_abort_sibling_scripts(self):
+        net = Network()
+        net.server_for("b.example").add_resource("/", inline_page(PARSE_BOMB, FP_SCRIPT))
+        loaded = Browser(net).load("https://b.example/")
+        # The bomb lands as a per-script parse_error row...
+        assert [url for url, _kind in loaded.parse_errors] == [
+            "https://b.example/#inline"
+        ]
+        # ...and the page keeps executing: the sibling canvas script ran.
+        assert loaded.instrument.extractions
+
+    def test_parse_error_recorded_in_script_errors(self):
+        net = Network()
+        net.server_for("b.example").add_resource("/", inline_page(PARSE_BOMB))
+        loaded = Browser(net).load("https://b.example/")
+        assert any("parse error" in err for err in loaded.script_errors)
+
+    def test_inline_scripts_numbered_distinctly(self):
+        net = Network()
+        net.server_for("c.example").add_resource(
+            "/", inline_page("var a = 1;", "window.b = 2;", FP_SCRIPT)
+        )
+        loaded = Browser(net).load("https://c.example/")
+        assert loaded.executed_scripts == [
+            "https://c.example/#inline",
+            "https://c.example/#inline-2",
+            "https://c.example/#inline-3",
+        ]

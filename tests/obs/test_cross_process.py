@@ -11,10 +11,10 @@ from dataclasses import asdict
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.config import StudyScale
 from repro.crawler.resilience import RetryPolicy
-from repro.crawler.shards import _crawl_shard_worker, run_sharded_crawl
+from repro.crawler.shards import ShardJob, _crawl_shard_worker, run_sharded_crawl
 from repro.net.faults import FaultConfig, FaultyNetwork
 from repro.obs.config import ObsConfig
 from repro.obs.inspect import crawl_totals, load_run
@@ -124,13 +124,13 @@ class TestPooledWorkerDeltas:
         """Calling the worker entry point twice in one process must not
         re-ship the first task's perf counters or metrics."""
         shard = list(world.all_targets[:4])
-        payload = (
-            faulty(world), shard, None, "control", RETRIES, None, (),
-            None, False, perf.current_config(), ObsConfig(trace=True), "shard-0",
-            None, None, None,
+        job = ShardJob(
+            network=faulty(world), label="control", targets=tuple(shard),
+            retry_policy=RETRIES, resume=False, obs_config=ObsConfig(trace=True),
         )
-        _, perf_delta_1, obs_payload_1, _ = _crawl_shard_worker(payload)
-        _, perf_delta_2, obs_payload_2, _ = _crawl_shard_worker(payload)
+        first, second = _crawl_shard_worker(job), _crawl_shard_worker(job)
+        perf_delta_1, obs_payload_1 = first.perf_delta, first.obs_payload
+        perf_delta_2, obs_payload_2 = second.perf_delta, second.obs_payload
         pages_1 = obs_payload_1["metrics"]["counters"]["crawler.pages[control]"]
         pages_2 = obs_payload_2["metrics"]["counters"]["crawler.pages[control]"]
         assert pages_1 == len(shard)

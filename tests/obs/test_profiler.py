@@ -21,12 +21,12 @@ import time
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.config import StudyScale
 from repro.core.pipeline import run_study
 from repro.crawler.crawl import CrawlTarget
 from repro.crawler.resilience import RetryPolicy
-from repro.crawler.shards import _crawl_shard_worker
+from repro.crawler.shards import ShardJob, _crawl_shard_worker
 from repro.crawler.storage import save_dataset
 from repro.crawler.supervisor import SupervisorConfig, run_supervised_crawl
 from repro.net.faults import FaultConfig, FaultyNetwork
@@ -167,7 +167,7 @@ class TestContextTags:
         )
         assert profiler.span_context("study.run", {}) == ("study", "run")
         assert profiler.span_context("crawl.retry", {}) is None
-        assert profiler.span_context("reduce.block", {"index": 0}) is None
+        assert profiler.span_context("analysis.merge", {"partials": 2}) is None
 
     def test_obs_span_tags_thread_when_profiler_active(self, untraced, monkeypatch):
         monkeypatch.setattr(profiler, "ACTIVE", True)
@@ -286,8 +286,17 @@ class TestExports:
         assert stages == {"crawl.control": 12, "detect": 2}
         subsystems = {row["name"]: row["samples"] for row in rollup["by_subsystem"]}
         # Leaf-ward classification: the crawl frame ending in a canvas
-        # helper counts as render time, parsing as js.compile.
-        assert subsystems == {"render": 8, "js.exec": 4, "js.compile": 2, "other": 1}
+        # helper counts as render time, parsing as js.parse.
+        assert subsystems == {"render": 8, "js.exec": 4, "js.parse": 2, "other": 1}
+
+    def test_js_front_end_layers_have_their_own_labels(self):
+        def label(module):
+            return profiler._subsystem((f"{module}:f",))
+
+        assert label("repro.js.lexer") == label("repro.js.tokens") == "js.lex"
+        assert label("repro.js.parser") == label("repro.js.nodes") == "js.parse"
+        assert label("repro.js.compiler") == "js.compile"
+        assert label("repro.js.interpreter") == "js.exec"
 
     def test_rollup_of_nothing(self):
         rollup = profiler.rollup(None)
@@ -365,13 +374,14 @@ class TestExactlyOnceShipping:
     workers and respawns never double-count (mirrors
     tests/obs/test_cross_process.py's delta semantics)."""
 
-    def worker_args(self, world, profile_hz=499.0):
-        shard = list(world.all_targets[:4])
-        return (
-            world.network, shard, None, "control", RetryPolicy(max_attempts=3),
-            None, (), None, False, perf.current_config(),
-            ObsConfig(trace=True, profile=True, profile_hz=profile_hz),
-            "shard-0", None, None, None,
+    def worker_job(self, world, profile_hz=499.0):
+        return ShardJob(
+            network=world.network,
+            label="control",
+            targets=tuple(world.all_targets[:4]),
+            retry_policy=RetryPolicy(max_attempts=3),
+            resume=False,
+            obs_config=ObsConfig(trace=True, profile=True, profile_hz=profile_hz),
         )
 
     def has_sentinel(self, snapshot):
@@ -384,10 +394,10 @@ class TestExactlyOnceShipping:
         """A pooled worker running two tasks back to back must not re-ship
         the first task's samples: a sentinel sample recorded before task 1
         appears in task 1's payload and never again."""
-        payload = self.worker_args(world)
+        job = self.worker_job(world)
         profiler.TABLE.record((("site", "sentinel.example"),), ("sentinel:frame",), 1.0)
-        _, _, obs_payload_1, _ = _crawl_shard_worker(payload)
-        _, _, obs_payload_2, _ = _crawl_shard_worker(payload)
+        obs_payload_1 = _crawl_shard_worker(job).obs_payload
+        obs_payload_2 = _crawl_shard_worker(job).obs_payload
         assert self.has_sentinel(obs_payload_1["profile"])
         assert not self.has_sentinel(obs_payload_2["profile"])
         # Nothing is left behind to leak into a third task either.

@@ -116,6 +116,33 @@ class TestWorkerMissingPayload:
         assert "worker_payload" in findings[0][3]
         assert "diff_snapshots" not in findings[0][3]
 
+    def test_wrapper_calling_the_shared_body_is_allowed(self, tmp_path):
+        findings = _lint_source(
+            tmp_path,
+            "def _supervised_shard_worker(job, heartbeat, result):\n"
+            "    report = _crawl_shard_worker(job, progress=beat)\n"
+            "    write(result, report)\n",
+        )
+        assert findings == []
+
+    def test_wrapper_neither_calling_the_body_nor_shipping_is_flagged(self, tmp_path):
+        findings = _lint_source(
+            tmp_path,
+            "def _supervised_shard_worker(job, heartbeat, result):\n"
+            "    report = _crawl_one_shard(job, progress=beat)\n"
+            "    write(result, report)\n",
+        )
+        assert [f[2] for f in findings] == ["worker-missing-payload"]
+
+    def test_the_shared_body_must_ship_itself(self, tmp_path):
+        # The body cannot satisfy the rule by calling itself.
+        findings = _lint_source(
+            tmp_path,
+            "def _crawl_shard_worker(job, progress=None):\n"
+            "    return _crawl_shard_worker(job, progress)\n",
+        )
+        assert [f[2] for f in findings] == ["worker-missing-payload"]
+
     def test_public_helpers_named_worker_are_not_entry_points(self, tmp_path):
         # obs.ingest_worker is the parent-side fold, not a dispatch target.
         findings = _lint_source(

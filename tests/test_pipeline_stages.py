@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro import obs
 from repro.config import StudyScale
+from repro.core.records import SiteObservation
 from repro.core.stages import StudyContext, build_study_graph
+from repro.core.stages.study import StaticStage
+from repro.crawler.crawl import CrawlDataset
+from repro.obs.config import ObsConfig
 from repro.webgen import build_world
 
 SCALE = StudyScale(fraction=0.01, seed=909)
@@ -149,3 +154,48 @@ class TestSurrogatePreviews:
             if isinstance(a, str)
         ]
         assert any("\N{SMILING FACE WITH OPEN MOUTH}" in t for t in texts)
+
+
+class _UnreachableNetwork:
+    """A network whose every fetch raises (a probe's worst case)."""
+
+    def fetch(self, request):
+        raise ConnectionResetError(str(request.url))
+
+
+class TestStaticProbeFailures:
+    @pytest.fixture
+    def traced(self):
+        previous = obs.config()
+        obs.configure(ObsConfig(trace=True))
+        obs.reset()
+        yield
+        obs.reset()
+        obs.configure(previous)
+
+    def test_failing_probe_is_counted_and_traced_not_raised(self, traced):
+        control = CrawlDataset(label="control")
+        control.observations.append(
+            SiteObservation(
+                domain="poison.example",
+                rank=1,
+                population="top",
+                success=False,
+                failure_reason="quarantined:exit:-9",
+            )
+        )
+        ctx = StudyContext(
+            network=_UnreachableNetwork(), targets=(), vendor_knowledge=()
+        )
+        report = StaticStage().run(ctx, {"crawl.control": control, "detect": {}})
+
+        assert report is not None
+        assert obs.METRICS.counter("static.probe_failures") == 1
+        assert obs.METRICS.counter("static.recoveries") == 0
+        events = [
+            record["attrs"]
+            for record in obs.TRACE.records()
+            if record["t"] == "event" and record["name"] == "static.probe_failure"
+        ]
+        assert events == [{"domain": "poison.example", "error": "ConnectionResetError"}]
+

@@ -1,27 +1,23 @@
 """Streaming analysis through the full study pipeline.
 
-Pins the engine's three execution modes against each other:
+Pins the engine's two execution modes against each other:
 
-* **live partials** — no cache: crawl workers fold observations as pages
-  land and ship bundle partials home with their records;
-* **block-cached fold** — with a stage cache: the reduce stage folds the
-  dataset through content-addressed block partials, so appending sites to
-  a study re-ingests only the new blocks;
-* **batch** — the monolithic entry points, which are thin drivers over the
-  same reducers.
+* **live partials** — crawl workers fold observations as pages land and
+  ship bundle partials home with their records, with or without a stage
+  cache;
+* **plain fold** — when the control crawl is served from the stage cache,
+  the reduce stage ingests the cached dataset in one pass.
 
-All three must produce identical reports; the cached mode must also prove
-it only did delta work (``analysis.*`` counters).
+Both must produce the same report as the batch entry points (thin drivers
+over the same reducers), and each must report its mode in the
+``analysis.*`` counters.
 """
-
-import math
 
 import pytest
 
 from repro import obs
 from repro.config import StudyScale
 from repro.core.pipeline import run_study
-from repro.core.stages.study import ReduceStage
 from repro.crawler.supervisor import SupervisorConfig
 from repro.webgen import build_world
 
@@ -46,7 +42,7 @@ def run_with_counters(world, **kwargs):
     before = obs.METRICS.snapshot()
     result = run_study(
         world.network,
-        world.all_targets if "targets" not in kwargs else kwargs.pop("targets"),
+        world.all_targets,
         world.vendor_knowledge(),
         easylist_text=world.easylist_text,
         easyprivacy_text=world.easyprivacy_text,
@@ -59,10 +55,10 @@ def run_with_counters(world, **kwargs):
 
 
 class TestStreamingEqualsBatch:
-    def test_live_fold_and_block_fold_agree_and_report_their_mode(self, tmp_path):
-        live_world, cached_world = build_world(SCALE), build_world(SCALE)
-        live, live_counters = run_with_counters(
-            live_world, include_adblock_crawls=False, jobs=2
+    def test_cache_on_and_off_both_fold_live(self, tmp_path):
+        uncached_world, cached_world = build_world(SCALE), build_world(SCALE)
+        uncached, uncached_counters = run_with_counters(
+            uncached_world, include_adblock_crawls=False, jobs=2
         )
         cached, cached_counters = run_with_counters(
             cached_world,
@@ -70,14 +66,32 @@ class TestStreamingEqualsBatch:
             jobs=2,
             cache_dir=tmp_path / "cache",
         )
-        assert live == cached
-        # No cache -> crawl workers folded partials, reduce popped the live
-        # bundle; with a cache -> block-partial fold, no live bundle.
-        assert live_counters.get("analysis.fold.live", 0) >= 1
-        assert live_counters.get("analysis.merge.partials", 0) >= 1
-        assert "analysis.block.misses" not in live_counters
-        assert cached_counters.get("analysis.block.misses", 0) >= 1
-        assert "analysis.fold.live" not in cached_counters
+        assert uncached == cached
+        # Either way the crawl workers folded partials and the reduce stage
+        # popped the live bundle instead of re-ingesting the dataset.
+        for counters in (uncached_counters, cached_counters):
+            assert counters.get("analysis.fold.live", 0) == 1
+            assert counters.get("analysis.merge.partials", 0) >= 1
+
+    def test_cached_crawl_falls_back_to_a_plain_fold(self, world, tmp_path):
+        cache_dir = tmp_path / "cache"
+        first, _ = run_with_counters(
+            world, include_adblock_crawls=False, cache_dir=cache_dir
+        )
+        (reduce_entry,) = cache_dir.glob("reduce.*.pkl")
+        reduce_entry.unlink()
+
+        again, counters = run_with_counters(
+            world, include_adblock_crawls=False, cache_dir=cache_dir
+        )
+        assert again == first
+        timings = {t.name: t for t in again.stage_timings}
+        assert timings["crawl.control"].cached
+        assert not timings["reduce"].cached
+        # The crawl never ran, so there was no live bundle: the reduce stage
+        # ingested every site of the cached dataset exactly once.
+        assert "analysis.fold.live" not in counters
+        assert counters.get("analysis.ingest.sites", 0) == len(world.all_targets)
 
     def test_supervised_streaming_study_equals_unsupervised(self, world):
         unsupervised = build_world(SCALE).run_full_study(include_adblock_crawls=False)
@@ -92,48 +106,3 @@ class TestStreamingEqualsBatch:
         # Supervised workers shipped analysis partials with their results.
         assert counters.get("analysis.merge.partials", 0) >= 1
         assert counters.get("analysis.fold.live", 0) >= 1
-
-
-class TestIncrementalAppend:
-    def test_appending_sites_reingests_only_the_new_blocks(
-        self, world, tmp_path, monkeypatch
-    ):
-        block = 8
-        monkeypatch.setattr(ReduceStage, "DEFAULT_BLOCK_SIZE", block)
-        cache_dir = tmp_path / "cache"
-        base, appended = 8 * block, 10 * block
-        assert len(world.all_targets) >= appended
-
-        _, cold = run_with_counters(
-            world,
-            targets=world.all_targets[:base],
-            stages=["prevalence"],
-            cache_dir=cache_dir,
-        )
-        assert cold.get("analysis.block.misses", 0) == base // block
-        assert cold.get("analysis.block.hits", 0) == 0
-        assert cold.get("analysis.ingest.sites", 0) == base
-
-        grown, warm = run_with_counters(
-            world,
-            targets=world.all_targets[:appended],
-            stages=["prevalence"],
-            cache_dir=cache_dir,
-        )
-        # Every pre-existing block is a cache hit; only the appended sites
-        # were re-ingested.  This is the streaming engine's delta property.
-        assert warm.get("analysis.block.hits", 0) == base // block
-        assert warm.get("analysis.block.misses", 0) == math.ceil(
-            (appended - base) / block
-        )
-        assert warm.get("analysis.ingest.sites", 0) == appended - base
-
-        # Delta work, same answer: an uncached run over the same prefix
-        # (fresh world, same seed) must produce the identical report.
-        fresh_world = build_world(SCALE)
-        fresh, _ = run_with_counters(
-            fresh_world,
-            targets=fresh_world.all_targets[:appended],
-            stages=["prevalence"],
-        )
-        assert grown.prevalence == fresh.prevalence

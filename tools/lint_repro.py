@@ -29,9 +29,10 @@ Three rules, all enforced purely on the AST (nothing is imported):
 ``worker-missing-payload``
     A shard worker entry point (private module-level function named
     ``_*_worker`` — the shape multiprocessing dispatch targets take here)
-    that never calls both ``diff_snapshots`` and ``worker_payload``.  Such
-    a worker does its work, then exits with its counters stranded in the
-    child process.
+    that never calls both ``diff_snapshots`` and ``worker_payload``, nor
+    the shared shard body (``shards._crawl_shard_worker``, itself linted
+    as a worker) that calls them.  Such a worker does its work, then exits
+    with its counters stranded in the child process.
 
 Usage::
 
@@ -59,6 +60,9 @@ SINGLETON_HOMES = {
 
 #: Both must appear in a worker entry point for the channel to round-trip.
 PAYLOAD_CALLS = ("diff_snapshots", "worker_payload")
+#: Worker bodies that ship the payload themselves; a wrapper that calls one
+#: (the supervised entry point) ships through it.
+SHIPPING_BODIES = ("_crawl_shard_worker",)
 
 Finding = Tuple[Path, int, str, str]
 
@@ -152,8 +156,11 @@ def lint_file(path: Path, root: Path) -> List[Finding]:
             for node in ast.walk(stmt)
             if isinstance(node, ast.Call)
         }
+        delegates = any(
+            body in called for body in SHIPPING_BODIES if body != stmt.name
+        )
         missing = [name for name in PAYLOAD_CALLS if name not in called]
-        if missing:
+        if missing and not delegates:
             findings.append(
                 (
                     path,
