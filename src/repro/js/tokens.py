@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 __all__ = ["TokenType", "Token", "KEYWORDS", "PUNCTUATORS"]
 
@@ -105,14 +104,35 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: Union[str, float, int]
-    line: int
-    #: 1-based column of the token's first character (0 = unknown, e.g.
-    #: synthetic tokens produced by template-literal desugaring).
-    col: int = 0
+    """One lexed token; equal to another token with the same four fields.
+
+    A plain ``__slots__`` class rather than a frozen dataclass: the lexer
+    builds one per token of every script, and this constructs about four
+    times faster (388k tokens, a crawl's worth: 0.09 s against 0.35 s on a
+    2-vCPU VM).  Unlike the dataclass it does not block attribute writes.
+    """
+
+    __slots__ = ("type", "value", "line", "col")
+
+    def __init__(self, type: TokenType, value: Union[str, float, int], line: int, col: int = 0) -> None:
+        self.type = type
+        self.value = value
+        self.line = line
+        #: 1-based column of the token's first character (0 = unknown, e.g.
+        #: synthetic tokens produced by template-literal desugaring).
+        self.col = col
+
+    def _fields(self) -> Tuple[TokenType, Union[str, float, int], int, int]:
+        return (self.type, self.value, self.line, self.col)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def is_punct(self, *values: str) -> bool:
         return self.type is TokenType.PUNCT and self.value in values

@@ -81,11 +81,12 @@ MAX_TABLE_KEYS = 50_000
 _SUBSYSTEMS: Tuple[Tuple[str, str], ...] = (
     ("repro.crawler.supervisor", "supervisor"),
     ("repro.core.reducers", "reducers"),
-    ("repro.js.compiler", "js.compile"),
+    ("repro.js.compiler", "js.lower"),
     ("repro.js.parser", "js.parse"),
     ("repro.js.nodes", "js.parse"),
     ("repro.js.lexer", "js.lex"),
     ("repro.js.tokens", "js.lex"),
+    ("repro.js.static", "static"),
     ("repro.js.", "js.exec"),
     ("repro.canvas", "render"),
     ("repro.dom", "render"),

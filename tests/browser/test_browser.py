@@ -284,6 +284,24 @@ class TestParseErrorContainment:
         # ...and the page keeps executing: the sibling canvas script ran.
         assert loaded.instrument.extractions
 
+    @pytest.mark.parametrize(
+        "broken,message",
+        [
+            ('var s = "\\xZZ";', "bad \\x escape"),
+            ('var s = "\\u12";', "bad \\u escape"),
+            ("x = \u00b2;", "unexpected character '\u00b2'"),
+        ],
+    )
+    def test_malformed_literal_does_not_abort_sibling_scripts(self, broken, message):
+        net = Network()
+        net.server_for("b.example").add_resource("/", inline_page(broken, FP_SCRIPT))
+        loaded = Browser(net).load("https://b.example/")
+        # The lexer reports a syntax error for the one script...
+        assert loaded.script_errors == [f"https://b.example/#inline: {message}"]
+        # ...and the sibling canvas script still ran and was observed.
+        assert loaded.executed_scripts[-1] == "https://b.example/#inline-2"
+        assert loaded.instrument.extractions
+
     def test_parse_error_recorded_in_script_errors(self):
         net = Network()
         net.server_for("b.example").add_resource("/", inline_page(PARSE_BOMB))

@@ -129,3 +129,63 @@ class TestTemplateLiterals:
     def test_escaped_backtick(self):
         toks = kinds(r"`tick \` here`")
         assert (TokenType.STRING, "tick ` here") in toks
+
+
+class TestMalformedLiterals:
+    """Inputs the per-character lexer got wrong: it raised ``ValueError``
+    (so one bad script aborted a whole page load) or read non-ASCII digits
+    as numbers.  Each is a syntax error with a position now."""
+
+    @pytest.mark.parametrize(
+        "source,message,line,col",
+        [
+            ('var s = "\\xZZ";', "bad \\x escape", 1, 9),
+            ('"\\u12"', "bad \\u escape", 1, 1),
+            ('"\\u12"; x', "bad \\u escape", 1, 1),
+            ("a;\n  'ok\\x4g'", "bad \\x escape", 2, 3),
+            ('"\\x+1"', "bad \\x escape", 1, 1),
+            ('"\\u 123"', "bad \\u escape", 1, 1),
+            ("x = ²;", "unexpected character '²'", 1, 5),
+            ("1²", "unexpected character '²'", 1, 2),
+            ("١٢", "unexpected character '١'", 1, 1),
+            ("1١", "unexpected character '١'", 1, 2),
+            (".١", "unexpected character '١'", 1, 2),
+            ("x = 0x;", "hex literal without digits", 1, 5),
+        ],
+    )
+    def test_syntax_error_with_position(self, source, message, line, col):
+        with pytest.raises(JSSyntaxError) as info:
+            tokenize(source)
+        assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+    def test_hex_literal_past_double_range_is_infinity(self):
+        assert kinds("0x" + "f" * 300) == [(TokenType.NUMBER, float("inf"))]
+
+    def test_non_ascii_letters_and_digits_inside_identifiers(self):
+        assert kinds("café a١ été") == [
+            (TokenType.IDENT, "café"),
+            (TokenType.IDENT, "a١"),
+            (TokenType.IDENT, "été"),
+        ]
+
+    def test_valid_escapes_still_decode(self):
+        assert kinds('"\\x41\\u00e9\\q\\0"') == [(TokenType.STRING, "Aéq\0")]
+
+
+class TestPositions:
+    def test_line_comment_and_crlf(self):
+        toks = tokenize("a // c\r\n  b /* x\n\n */ c")
+        assert [(t.value, t.line, t.col) for t in toks] == [
+            ("a", 1, 1), ("b", 2, 3), ("c", 4, 5), ("", 4, 6)
+        ]
+
+    def test_string_line_continuation_keeps_opening_column(self):
+        toks = tokenize("x = 'a\\\nb'; y")
+        assert (toks[2].value, toks[2].line, toks[2].col) == ("ab", 2, 5)
+        assert (toks[4].line, toks[4].col) == (2, 5)
+
+    def test_template_tokens_carry_backtick_position(self):
+        toks = tokenize("  `a\n${b}c`")
+        assert [(t.value, t.line, t.col) for t in toks[:4]] == [
+            ("(", 1, 3), ("a\n", 2, 3), ("+", 2, 3), ("(", 2, 3)
+        ]

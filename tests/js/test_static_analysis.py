@@ -6,6 +6,8 @@ canvas APIs are reachable, whether readouts survive the paper's §3.2
 exclusions, where tainted bytes flow, and when a script is provably inert.
 """
 
+import pytest
+
 from repro import perf
 from repro.js import nodes as N
 from repro.js.parser import parse
@@ -273,6 +275,14 @@ class TestVerdicts:
         assert v.parse_error is not None
         assert not v.skippable
         assert v.reads_top  # worst-case assumption: could read anything
+
+    @pytest.mark.parametrize(
+        "source", ['var s = "\\xZZ";', 'var s = "\\u12";', "x = \u00b2;"]
+    )
+    def test_malformed_literal_is_a_parse_error_verdict(self, source):
+        v = verdict_for_source(source)
+        assert v.classification == CLASS_PARSE_ERROR
+        assert v.parse_error.startswith("JSSyntaxError: ")
 
     def test_verdict_cache_hits_on_second_lookup(self):
         src = "var __t_cache_probe = 1 + 2 + 3;"

@@ -295,7 +295,8 @@ class TestExports:
 
         assert label("repro.js.lexer") == label("repro.js.tokens") == "js.lex"
         assert label("repro.js.parser") == label("repro.js.nodes") == "js.parse"
-        assert label("repro.js.compiler") == "js.compile"
+        assert label("repro.js.compiler") == "js.lower"
+        assert label("repro.js.static.analyzer") == label("repro.js.static.cfg") == "static"
         assert label("repro.js.interpreter") == "js.exec"
 
     def test_rollup_of_nothing(self):
